@@ -18,11 +18,14 @@
 //
 // # The grid engine
 //
-// Any of the flags below switch the run onto the cell-addressed grid
-// engine: the selected tables and figures decompose into (dataset × method)
-// cells, scheduled on the worker pool with per-cell seeding (results are
-// bit-identical to a sequential run) and folded back into tables from
-// per-cell artifacts:
+// Every selection runs on the cell-addressed grid engine (internal/grid):
+// the selected tables and figures decompose into (dataset × method) cells,
+// scheduled on the worker pool with per-cell seeding (results are
+// bit-identical to a sequential run) and folded back into tables. A failing
+// cell fails fast: unstarted cells are skipped and the partial tables mark
+// failed and skipped cells distinctly. Table 3 and Figure 2 need no cells.
+// Without the flags below the run is in-memory; they add persistence and
+// FM record/replay:
 //
 //	-run-dir DIR    persist one JSON artifact per completed cell plus a
 //	                manifest under DIR; a fresh run refuses a directory that
@@ -32,19 +35,19 @@
 //	                executes; Ctrl-C leaves the directory resumable again
 //	-fm-record DIR  record every cell's FM traffic into per-cell shards
 //	                (DIR/<dataset>__<method>.jsonl + manifest)
-//	-fm-replay PATH replay FM traffic. A directory replays per-cell shards —
-//	                any subset of the recorded grid, down to a single cell —
-//	                failing loudly on a config-hash mismatch; a file replays
-//	                a legacy monolithic recording (SMARTFEAT cells only)
+//	-fm-replay DIR  replay per-cell shards recorded by -fm-record — any
+//	                subset of the recorded grid, down to a single cell —
+//	                failing loudly on a config-hash mismatch
 //	-methods LIST   restrict the comparison grid's method cells
 //	-keep-going     run every cell even after one fails (default fail-fast
 //	                skips unstarted cells, reporting them as skipped)
 //
-// Efficiency rows under the grid engine are folded from the comparison
-// cells' own accounting (per-cell cost attribution) instead of re-running
-// the methods sequentially; timings are therefore contended but every FM
-// counter is exact. Ctrl-C cancels in-flight cells; with -run-dir/-resume
-// the interrupted grid resumes incrementally.
+// Efficiency rows are folded from the comparison cells' own accounting
+// (per-cell cost attribution). Cells fan out at -workers (default
+// GOMAXPROCS), so their timings are contended; pass -workers 1 for
+// uncontended timings. Every FM counter is exact either way. Ctrl-C cancels
+// in-flight cells; with -run-dir/-resume the interrupted grid resumes
+// incrementally.
 //
 // # Multi-worker runs
 //
@@ -126,53 +129,23 @@ import (
 	"smartfeat/internal/obs"
 )
 
-// selections carries the parsed table/figure switches.
-type selections struct {
-	table        int
-	figure       int
-	efficiency   bool
-	descriptions bool
-	all          bool
-}
-
-func (s selections) any() bool {
-	return s.table != 0 || s.figure != 0 || s.efficiency || s.descriptions || s.all
-}
-
-// grid maps the parsed flags onto the shared plan/fold seam (grid.Selection)
-// so the CLI and the smartfeatd daemon render byte-identical tables.
-func (s selections) grid() grid.Selection {
-	return grid.Selection{
-		Table:        s.table,
-		Figure:       s.figure,
-		Efficiency:   s.efficiency,
-		Descriptions: s.descriptions,
-		All:          s.all,
-	}
-}
-
-// figure1Sizes returns the Figure 1 size series for the selection.
-func (s selections) figure1Sizes() []int {
-	return grid.DefaultFigure1Sizes(s.all)
-}
-
 func main() {
-	var sel selections
-	flag.IntVar(&sel.table, "table", 0, "table number to regenerate (3, 4, 5, 6, 7)")
-	flag.IntVar(&sel.figure, "figure", 0, "figure number to regenerate (1, 2)")
-	flag.BoolVar(&sel.efficiency, "efficiency", false, "run the efficiency comparison")
-	flag.BoolVar(&sel.descriptions, "descriptions", false, "run the feature-description ablation")
-	flag.BoolVar(&sel.all, "all", false, "run everything")
+	var sel grid.Selection
+	flag.IntVar(&sel.Table, "table", 0, "table number to regenerate (3, 4, 5, 6, 7)")
+	flag.IntVar(&sel.Figure, "figure", 0, "figure number to regenerate (1, 2)")
+	flag.BoolVar(&sel.Efficiency, "efficiency", false, "run the efficiency comparison")
+	flag.BoolVar(&sel.Descriptions, "descriptions", false, "run the feature-description ablation")
+	flag.BoolVar(&sel.All, "all", false, "run everything")
 	quick := flag.Bool("quick", false, "use the scaled-down configuration")
 	seed := flag.Int64("seed", 0, "override the experiment seed")
 	names := flag.String("datasets", "", "comma-separated dataset subset (default: all eight)")
-	methodsFlag := flag.String("methods", "", "comma-separated comparison-method subset for the grid engine (e.g. 'SMARTFEAT,CAAFE'; 'Initial AUC' is always included)")
+	methodsFlag := flag.String("methods", "", "comma-separated comparison-method subset (e.g. 'SMARTFEAT,CAAFE'; 'Initial AUC' is always included)")
 	workers := flag.Int("workers", 0, "evaluation parallelism: (dataset × method) cells and per-model training (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
 	fmCache := flag.Bool("fm-cache", false, "cache deterministic FM completions inside each cell (content-addressed LRU)")
 	fmCacheSize := flag.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
 	fmCacheDir := flag.String("fm-cache-dir", "", "cross-process completion-cache directory: a content-addressed read-through index over FM shard files (e.g. an -fm-record directory), serving completions a peer worker already paid for at $0; config-hash checked, disk hits carry replay semantics so a fully-covered run stays byte-identical")
 	fmRecord := flag.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
-	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost: a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset) or a legacy monolithic recording file")
+	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
 	fmConcurrency := flag.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
 	fmBackends := flag.Int("fm-backends", 0, "route FM traffic through a resilient pool of N replica backends (circuit breakers, least-loaded selection; 0 = no pool)")
 	fmHedge := flag.Duration("fm-hedge", 0, "hedge FM calls: fire a duplicate on a second backend after this delay, first success wins (0 = off; needs -fm-backends >= 2)")
@@ -180,7 +153,7 @@ func main() {
 	fmBreaker := flag.String("fm-breaker", "", "per-backend circuit breaker as THRESHOLD[:COOLDOWN], e.g. '3' or '3:50ms' (consecutive transport failures to open; delay before the half-open probe)")
 	fmRetries := flag.Int("fm-retries", 0, "gateway retry budget for transient FM errors (0 = fail fast, or 4 when -fm-faults is set)")
 	fmFaults := flag.String("fm-faults", "", "per-backend injected fault model, e.g. 'rate=0.1,ratelimit=0.03,hang=0.01,malformed=0.02,jitter=4ms,retryafter=10ms,outage=b2:5-25' (needs -fm-backends)")
-	runDir := flag.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (the grid engine's resumable run directory)")
+	runDir := flag.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (a resumable run directory)")
 	resume := flag.String("resume", "", "resume an interrupted run directory: completed cells load from artifacts and are skipped")
 	keepGoing := flag.Bool("keep-going", false, "run every grid cell even after one fails (default: fail fast, skipping unstarted cells)")
 	worker := flag.String("worker", "", "worker id for a multi-process run: N processes with distinct ids and one -run-dir drain the same grid concurrently via filesystem leases")
@@ -211,6 +184,11 @@ func main() {
 			fmt.Println("gc: evicted cache file", c)
 		}
 		return
+	}
+
+	if *fmReplay != "" && !isDir(*fmReplay) {
+		fmt.Fprintf(os.Stderr, "experiments: -fm-replay %s: not a directory; replay needs a shard directory recorded with 'experiments -fm-record DIR'\n", *fmReplay)
+		os.Exit(2)
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -307,9 +285,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	gridMode := *runDir != "" || *resume != "" || *fmRecord != "" || *keepGoing ||
-		*worker != "" || methods != nil || isDir(*fmReplay)
-
 	// Observability: both switches feed the same process-wide registry; the
 	// tables on stdout are byte-identical with or without them.
 	obsOn := *metricsAddr != "" || *traceFlag
@@ -330,7 +305,7 @@ func main() {
 	}
 	if *traceFlag {
 		path := "trace.jsonl"
-		if dir := firstNonEmpty(*resume, *runDir); gridMode && dir != "" {
+		if dir := firstNonEmpty(*resume, *runDir); dir != "" {
 			// The runner would create the directory anyway; creating it here
 			// just lets the trace live beside the manifest from the start.
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -350,19 +325,11 @@ func main() {
 	}
 	prof := obs.NewProfile(nil)
 
-	var err error
-	if gridMode {
-		err = runGrid(ctx, sel, selected, methods, cfg, gridOptions{
-			runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
-			keepGoing: *keepGoing, quick: *quick, worker: *worker, leaseTTL: *leaseTTL,
-			prof: prof,
-		})
-	} else {
-		cfg.FMReplayPath = *fmReplay
-		done := prof.Phase("run")
-		err = run(ctx, sel, selected, cfg)
-		done()
-	}
+	err := runGrid(ctx, sel, selected, methods, cfg, gridOptions{
+		runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
+		keepGoing: *keepGoing, quick: *quick, worker: *worker, leaseTTL: *leaseTTL,
+		prof: prof,
+	})
 	if obsOn {
 		prof.Fill()
 		fmt.Fprintln(os.Stderr, prof.Table())
@@ -384,67 +351,6 @@ func firstNonEmpty(a, b string) string {
 	return b
 }
 
-// run is the in-memory path: no artifacts, no sharded stores.
-func run(ctx context.Context, sel selections, names []string, cfg experiments.Config) error {
-	if !sel.any() {
-		return fmt.Errorf("nothing selected; use -table, -figure, -efficiency, -descriptions or -all")
-	}
-	if sel.table == 3 || sel.all {
-		fmt.Println(experiments.Table3String(cfg))
-	}
-	if sel.table == 4 || sel.table == 5 || sel.all {
-		avg, median, err := experiments.RunComparison(ctx, names, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(avg)
-		fmt.Println(median)
-	}
-	if sel.table == 6 || sel.all {
-		rows, err := experiments.Table6FeatureImportance(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Table6String(rows))
-	}
-	if sel.table == 7 || sel.all {
-		rows, err := experiments.Table7OperatorAblation(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Table7String(rows, cfg.Models))
-	}
-	if sel.figure == 1 || sel.all {
-		points, err := experiments.Figure1InteractionCosts(ctx, sel.figure1Sizes(), cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Figure1String(points))
-	}
-	if sel.figure == 2 || sel.all {
-		out, err := experiments.Figure2Walkthrough(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	}
-	if sel.efficiency || sel.all {
-		rows, err := experiments.RunEfficiency(ctx, names, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.EfficiencyString(rows))
-	}
-	if sel.descriptions || sel.all {
-		abl, err := experiments.RunDescriptionsAblation(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(abl)
-	}
-	return nil
-}
-
 // gridOptions carries the engine flags.
 type gridOptions struct {
 	runDir, resume     string
@@ -458,11 +364,11 @@ type gridOptions struct {
 	prof *obs.Profile
 }
 
-// runGrid is the cell-addressed path: build the plan for the selection, run
-// it through the grid engine (artifacts, resume, sharded record/replay),
-// fold, and print whatever completed.
-func runGrid(ctx context.Context, sel selections, names, methods []string, cfg experiments.Config, o gridOptions) error {
-	if !sel.any() {
+// runGrid builds the plan for the selection, runs it through the grid
+// engine (in memory, or with artifacts, resume and sharded record/replay),
+// folds, and prints whatever completed.
+func runGrid(ctx context.Context, sel grid.Selection, names, methods []string, cfg experiments.Config, o gridOptions) error {
+	if !sel.Any() {
 		return fmt.Errorf("nothing selected; use -table, -figure, -efficiency, -descriptions or -all")
 	}
 	if o.runDir != "" && o.resume != "" {
@@ -503,22 +409,17 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 		}
 		defer stores.Close()
 		runner.Stores = stores
-	case isDir(o.fmReplay):
+	case o.fmReplay != "":
 		stores, err := fmgate.OpenReplayStoreSet(o.fmReplay, cfg.Fingerprint())
 		if err != nil {
 			return err
 		}
 		defer stores.Close()
 		runner.Stores = stores
-	case o.fmReplay != "":
-		// Legacy monolithic recording file: SMARTFEAT cells only.
-		cfg.FMReplayPath = o.fmReplay
-		runner.Config = cfg
 	}
 
 	endPlan := o.prof.Phase("plan")
-	gsel := sel.grid()
-	plan := gsel.Plan(names, methods)
+	plan := sel.Plan(names, methods)
 	endPlan()
 
 	endExec := o.prof.Phase("execute")
@@ -540,7 +441,7 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 	// failed/skipped markers), and the error below says what is missing.
 	endFold := o.prof.Phase("fold")
 	var figure2 string
-	if sel.figure == 2 || sel.all {
+	if sel.Figure == 2 || sel.All {
 		// The walkthrough is a fixed six-row trace, not a grid cell; it runs
 		// here and Render places its text in table order.
 		out, err := experiments.Figure2Walkthrough(ctx, cfg)
@@ -555,7 +456,7 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 			figure2 = out
 		}
 	}
-	gsel.Render(os.Stdout, result, names, cfg, figure2)
+	sel.Render(os.Stdout, result, names, cfg, figure2)
 	endFold()
 
 	// Per-cell cost attribution rolls up into the run profile; the artifacts
@@ -591,21 +492,21 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 // method restrictions, and the FM store mode (the config hash covers none
 // of those, so omitting any would silently resume a different run: a larger
 // grid, or remaining cells recorded/replayed in the wrong mode).
-func replaySelectionHint(sel selections, o gridOptions, names, methods []string) string {
+func replaySelectionHint(sel grid.Selection, o gridOptions, names, methods []string) string {
 	var parts []string
-	if sel.all {
+	if sel.All {
 		parts = append(parts, "-all")
 	}
-	if sel.table != 0 {
-		parts = append(parts, "-table "+strconv.Itoa(sel.table))
+	if sel.Table != 0 {
+		parts = append(parts, "-table "+strconv.Itoa(sel.Table))
 	}
-	if sel.figure != 0 {
-		parts = append(parts, "-figure "+strconv.Itoa(sel.figure))
+	if sel.Figure != 0 {
+		parts = append(parts, "-figure "+strconv.Itoa(sel.Figure))
 	}
-	if sel.efficiency {
+	if sel.Efficiency {
 		parts = append(parts, "-efficiency")
 	}
-	if sel.descriptions {
+	if sel.Descriptions {
 		parts = append(parts, "-descriptions")
 	}
 	if o.quick {
@@ -633,7 +534,7 @@ func replaySelectionHint(sel selections, o gridOptions, names, methods []string)
 }
 
 // isDir reports whether path names an existing directory (the sharded
-// record/replay layout; a plain file is a legacy monolithic recording).
+// record/replay layout).
 func isDir(path string) bool {
 	if path == "" {
 		return false

@@ -47,19 +47,13 @@ type Config struct {
 	// FMConcurrency bounds each gateway's in-flight upstream calls
 	// (0 = gateway default of 8).
 	FMConcurrency int
-	// FMReplayPath, when set, serves every FM completion from the given
-	// monolithic fmgate recording instead of the simulators — zero simulated
-	// cost. It only covers the SMARTFEAT selector/generator gateways (the
-	// pre-sharding behaviour); the grid engine's per-cell sharding goes
-	// through FMStore instead.
-	FMReplayPath string
 	// FMStore is a per-cell record/replay shard, installed by the grid
 	// runner (internal/grid) from an fmgate.StoreSet: every gateway the cell
 	// builds — selector, generator, and each CAAFE session — shares it, so
-	// one recorded grid run replays per (dataset × method) cell. When set it
-	// takes precedence over FMReplayPath. FMStoreReplay selects replay mode
-	// (serve recorded completions, zero cost) versus record mode (append
-	// every upstream completion to the shard).
+	// one recorded grid run replays per (dataset × method) cell.
+	// FMStoreReplay selects replay mode (serve recorded completions, zero
+	// cost) versus record mode (append every upstream completion to the
+	// shard).
 	FMStore       *fmgate.Store
 	FMStoreReplay bool
 	// FMDiskCache is the cross-process tier of the completion cache: a
@@ -80,16 +74,16 @@ type Config struct {
 	// it is excluded from Fingerprint and a chaos replay of a recorded run
 	// still matches the recording's config hash.
 	FMPool *fmgate.PoolSpec
-	// Workers bounds the evaluation harness's parallelism. The bound is
-	// per fan-out level, not global: RunComparison fans datasets, each
-	// EvalDataset fans its five method cells, and each EvaluateFrame fans
-	// its models (forests additionally run their own GOMAXPROCS tree pool),
-	// so peak concurrency can reach the product of the levels — keep
-	// Workers modest on large grids. 0 means GOMAXPROCS per level (except
-	// RunEfficiency, which stays sequential for uncontended timings);
-	// 1 forces fully sequential execution. Results are bit-identical at any
-	// setting because every cell derives its randomness from fixed
-	// per-cell seeds.
+	// Workers bounds the evaluation parallelism. The bound is per fan-out
+	// level, not global: the grid runner fans out (dataset × method) cells,
+	// each EvaluateFrame fans its models and each CAAFE cell its
+	// per-model sessions (forests additionally run their own GOMAXPROCS
+	// tree pool), so peak concurrency can reach the product of the levels —
+	// keep Workers modest on large grids. 0 means GOMAXPROCS per level;
+	// 1 forces fully sequential execution, which is also what uncontended
+	// per-cell timings (the efficiency table) need. Results are
+	// bit-identical at any setting because every cell derives its
+	// randomness from fixed per-cell seeds.
 	Workers int
 }
 

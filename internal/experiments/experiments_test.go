@@ -21,20 +21,23 @@ func tinyConfig() Config {
 	return cfg
 }
 
-func TestEvalDatasetProducesAllMethods(t *testing.T) {
-	ev, err := EvalDataset(context.Background(), "Diabetes", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+func TestRunCellProducesAllMethods(t *testing.T) {
+	cfg := tinyConfig()
+	results := make(map[string]MethodResult)
+	for _, m := range ComparisonMethods() {
+		res, err := RunCell(context.Background(), "Diabetes", m, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if res.Method != m {
+			t.Fatalf("cell %s reports method %q", m, res.Method)
+		}
+		results[m] = res
 	}
-	if len(ev.Initial.AUCs) == 0 {
+	if len(results[MethodInitial].AUCs) == 0 {
 		t.Fatal("initial evaluation empty")
 	}
-	for _, m := range Methods() {
-		if _, ok := ev.Methods[m]; !ok {
-			t.Fatalf("method %s missing", m)
-		}
-	}
-	sf := ev.Methods[MethodSmartfeat]
+	sf := results[MethodSmartfeat]
 	if sf.Err != nil {
 		t.Fatalf("smartfeat failed: %v", sf.Err)
 	}
@@ -43,6 +46,9 @@ func TestEvalDatasetProducesAllMethods(t *testing.T) {
 	}
 	if avg, ok := sf.AvgAUC(); !ok || avg <= 0 || avg > 100 {
 		t.Fatalf("avg AUC out of range: %v %v", avg, ok)
+	}
+	if _, err := RunCell(context.Background(), "Diabetes", "NoSuchMethod", cfg); err == nil {
+		t.Fatal("unknown method should fail the cell")
 	}
 }
 
@@ -75,27 +81,64 @@ func TestTable3String(t *testing.T) {
 	}
 }
 
-func TestRunComparisonShape(t *testing.T) {
-	avg, median, err := RunComparison(context.Background(), []string{"Diabetes"}, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestComparisonFromCellsShape pins the Tables 4/5 fold over synthetic
+// cells: both aggregates, the partial-model underline, a method-level "-",
+// and the distinct miss markers of failed and skipped cells.
+func TestComparisonFromCellsShape(t *testing.T) {
+	cfg := tinyConfig()
+	names := []string{"Diabetes", "Tennis"}
+	full := map[string]float64{"LR": 80, "NB": 60}
+	get := func(dataset, method string) (MethodResult, CellState) {
+		switch {
+		case dataset == "Tennis" && method == MethodInitial:
+			return MethodResult{}, CellFailed
+		case dataset == "Tennis":
+			return MethodResult{}, CellSkipped
+		case method == MethodCAAFE:
+			return MethodResult{Method: method, AUCs: map[string]float64{"LR": 90}}, CellCompleted
+		case method == MethodAutoFeat:
+			return MethodResult{Method: method, Err: errors.New("timeout")}, CellCompleted
+		}
+		return MethodResult{Method: method, AUCs: full}, CellCompleted
 	}
+	avg, median := ComparisonFromCells(names, cfg, get)
 	if avg.Aggregate != "average" || median.Aggregate != "median" {
 		t.Fatal("aggregates mislabeled")
 	}
-	if _, ok := avg.Initial["Diabetes"]; !ok {
-		t.Fatal("initial missing")
+	if avg.Initial["Diabetes"] != 70 || median.Initial["Diabetes"] != 70 {
+		t.Fatalf("initial = %v / %v", avg.Initial, median.Initial)
+	}
+	if avg.Cells[MethodSmartfeat]["Diabetes"] != 70 || avg.Partial[MethodSmartfeat]["Diabetes"] {
+		t.Fatalf("smartfeat cell = %v partial=%v", avg.Cells[MethodSmartfeat], avg.Partial[MethodSmartfeat])
+	}
+	if !avg.Partial[MethodCAAFE]["Diabetes"] {
+		t.Fatal("a method missing a model must be marked partial")
+	}
+	if _, ok := avg.Cells[MethodAutoFeat]["Diabetes"]; ok {
+		t.Fatal("a method-level failure must leave its cell empty")
+	}
+	if avg.Missing[MethodInitial]["Tennis"] != "failed" || avg.Missing[MethodSmartfeat]["Tennis"] != "skipped" {
+		t.Fatalf("missing marks = %v", avg.Missing)
+	}
+	if _, ok := avg.Missing[MethodAutoFeat]["Diabetes"]; ok {
+		t.Fatal("a completed cell with a method error is a result, not a miss")
 	}
 	s := avg.String()
-	if !strings.Contains(s, "SMARTFEAT") || !strings.Contains(s, "Diabetes") {
-		t.Fatalf("render broken:\n%s", s)
+	for _, want := range []string{"SMARTFEAT", "Diabetes", "!", "?"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("render lacks %q:\n%s", want, s)
+		}
 	}
 }
 
-func TestTable7OperatorAblation(t *testing.T) {
-	rows, err := Table7OperatorAblation(context.Background(), "Tennis", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+func TestTable7Cells(t *testing.T) {
+	var rows []AblationRow
+	for _, c := range Table7Configs() {
+		row, err := Table7Cell(context.Background(), "Tennis", c, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("want 6 configurations, got %d", len(rows))
@@ -107,16 +150,20 @@ func TestTable7OperatorAblation(t *testing.T) {
 	if !strings.Contains(out, "+Binary") {
 		t.Fatalf("render broken:\n%s", out)
 	}
+	if _, err := Table7Cell(context.Background(), "Tennis", "+Nothing", tinyConfig()); err == nil {
+		t.Fatal("unknown configuration should fail the cell")
+	}
 }
 
 func TestFigure1CostsScaleWithRows(t *testing.T) {
 	cfg := tinyConfig()
-	points, err := Figure1InteractionCosts(context.Background(), []int{50, 500}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("want 2 points, got %d", len(points))
+	var points []InteractionCost
+	for _, n := range []int{50, 500} {
+		point, err := Figure1Cell(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, point)
 	}
 	// Row-level calls scale linearly with rows.
 	if points[0].RowCalls != 50 || points[1].RowCalls != 500 {
@@ -160,10 +207,16 @@ func TestFigure2Walkthrough(t *testing.T) {
 }
 
 func TestDescriptionsAblation(t *testing.T) {
-	abl, err := RunDescriptionsAblation(context.Background(), "Tennis", tinyConfig())
+	cfg := tinyConfig()
+	full, err := DescriptionsCell(context.Background(), "Tennis", true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	namesOnly, err := DescriptionsCell(context.Background(), "Tennis", false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abl := DescriptionsAblationFromCells("Tennis", full, namesOnly)
 	if abl.WithAvg <= 0 || abl.NamesOnlyAvg <= 0 {
 		t.Fatalf("ablation values: %+v", abl)
 	}
@@ -172,13 +225,14 @@ func TestDescriptionsAblation(t *testing.T) {
 	}
 }
 
-func TestTable6FeatureImportance(t *testing.T) {
-	rows, err := Table6FeatureImportance(context.Background(), "Tennis", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 methods, got %d", len(rows))
+func TestTable6Cells(t *testing.T) {
+	var rows []ImportanceRow
+	for _, m := range Methods() {
+		row, err := Table6Cell(context.Background(), "Tennis", m, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	bySel := map[string]ImportanceRow{}
 	for _, r := range rows {
@@ -197,77 +251,39 @@ func TestTable6FeatureImportance(t *testing.T) {
 	}
 }
 
+// TestEfficiencyRows folds efficiency rows from live method cells: one row
+// per method in table order, FM traffic only on the FM-driven methods, and
+// absent cells left out.
 func TestEfficiencyRows(t *testing.T) {
-	rows, err := RunEfficiency(context.Background(), []string{"Diabetes"}, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	cfg := tinyConfig()
+	results := make(map[string]MethodResult)
+	for _, m := range Methods() {
+		res, err := RunCell(context.Background(), "Diabetes", m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[m] = res
 	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows, got %d", len(rows))
+	get := func(dataset, method string) (MethodResult, bool) {
+		res, ok := results[method]
+		return res, ok && dataset == "Diabetes"
+	}
+	rows := EfficiencyFromCells([]string{"Diabetes", "Tennis"}, get)
+	if len(rows) != len(Methods()) {
+		t.Fatalf("want %d rows, got %d", len(Methods()), len(rows))
+	}
+	for i, m := range Methods() {
+		r := rows[i]
+		if r.Dataset != "Diabetes" || r.Method != m {
+			t.Fatalf("row %d = %s/%s, want Diabetes/%s", i, r.Dataset, r.Method, m)
+		}
+		fmDriven := m == MethodSmartfeat || m == MethodCAAFE
+		if fmDriven != (r.FMRequests > 0) {
+			t.Fatalf("%s: fm requests = %d", m, r.FMRequests)
+		}
 	}
 	if !strings.Contains(EfficiencyString(rows), "Diabetes") {
 		t.Fatal("render broken")
-	}
-}
-
-// TestRunComparisonFailFastDistinguishesSkipped pins the fail-fast bugfix:
-// a failing cell no longer silently swallows the unstarted cells — the
-// returned error names failed and skipped cells distinctly, and the partial
-// tables render distinct miss markers for them.
-func TestRunComparisonFailFastDistinguishesSkipped(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Workers = 1 // deterministic schedule: the bad dataset fails first
-	avg, _, err := RunComparison(context.Background(), []string{"NoSuchDataset", "Diabetes"}, cfg)
-	if err == nil {
-		t.Fatal("want an error")
-	}
-	var runErr *RunError
-	if !errors.As(err, &runErr) {
-		t.Fatalf("want *RunError, got %T: %v", err, err)
-	}
-	if len(runErr.Failed) == 0 || runErr.Failed[0].Dataset != "NoSuchDataset" {
-		t.Fatalf("failed cells = %v", runErr.Failed)
-	}
-	if len(runErr.Skipped) == 0 {
-		t.Fatal("skipped cells not reported")
-	}
-	for _, s := range runErr.Skipped {
-		if strings.Contains(s, "NoSuchDataset") && strings.Contains(s, MethodInitial) {
-			t.Fatalf("the failed cell is also listed as skipped: %v", runErr.Skipped)
-		}
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "failed") || !strings.Contains(msg, "skipped") {
-		t.Fatalf("error collapses skipped into failed: %s", msg)
-	}
-	// Partial tables come back (not nil) with per-cell miss reasons.
-	if avg == nil {
-		t.Fatal("partial tables dropped on failure")
-	}
-	if avg.Missing[MethodInitial]["NoSuchDataset"] != "failed" {
-		t.Fatalf("missing marks = %v", avg.Missing)
-	}
-	if avg.Missing[MethodSmartfeat]["Diabetes"] != "skipped" {
-		t.Fatalf("missing marks = %v", avg.Missing)
-	}
-	out := avg.String()
-	if !strings.Contains(out, "!") || !strings.Contains(out, "?") {
-		t.Fatalf("render lacks distinct markers:\n%s", out)
-	}
-}
-
-// TestRunComparisonCancelled pins cancellation: an already-cancelled context
-// runs nothing, reports every cell skipped and unwraps to context.Canceled.
-func TestRunComparisonCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := RunComparison(ctx, []string{"Diabetes"}, tinyConfig())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	var runErr *RunError
-	if !errors.As(err, &runErr) || len(runErr.Skipped) != len(ComparisonMethods()) {
-		t.Fatalf("cancelled run outcome: %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ type DatasetEval struct {
 
 // smartfeatOptions builds SMARTFEAT's configuration for a dataset. Every FM
 // is wrapped in an fmgate gateway (routed per role), so the harness can
-// report traffic metrics and the cfg's cache/replay/concurrency settings
+// report traffic metrics and the cfg's cache/store/concurrency settings
 // apply uniformly; with those settings at their zero values the gateways
 // are pass-throughs and the run is identical to talking to the simulators
 // directly.
@@ -33,11 +33,11 @@ func smartfeatOptions(d *datasets.Dataset, cfg Config, operators core.OperatorSe
 	// The selector/generator gateways stay unscoped: their keys match the
 	// smartfeat CLI's recordings, so a grid cell's shard and a CLI recording
 	// of the same seed/budget are interchangeable.
-	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", cfg)
+	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", "", cfg)
 	if err != nil {
 		return core.Options{}, nil, err
 	}
-	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", cfg)
+	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", "", cfg)
 	if err != nil {
 		return core.Options{}, nil, err
 	}
@@ -56,59 +56,26 @@ func smartfeatOptions(d *datasets.Dataset, cfg Config, operators core.OperatorSe
 	}, router, nil
 }
 
-// newGateway wraps one selector/generator simulator with the config's
-// gateway settings. The store resolution order is: the grid runner's
-// per-cell shard (record or replay) if installed, else the legacy
-// monolithic replay recording. With a per-cell shard both roles share one
-// Store instance — keys embed the model name, so their queues stay disjoint
-// while record appends land in one shard file per cell.
-func newGateway(model fm.Model, role string, cfg Config) (*fmgate.Gateway, error) {
+// newGateway wraps one simulator with the config's gateway settings. role
+// labels the gateway's metrics; a non-empty scope namespaces its
+// record/replay keys. With a per-cell shard installed by the grid runner,
+// every gateway of the cell shares one Store instance — keys embed the
+// model name and scope, so their queues stay disjoint while record appends
+// land in one shard file per cell.
+func newGateway(model fm.Model, role, scope string, cfg Config) (*fmgate.Gateway, error) {
 	opts := fmgate.Options{
 		CacheSize:   cfg.FMCacheSize,
 		Concurrency: cfg.FMConcurrency,
 		Role:        role,
-	}
-	switch {
-	case cfg.FMStore != nil:
-		opts.Store = cfg.FMStore
-		opts.Replay = cfg.FMStoreReplay
-	case cfg.FMReplayPath != "":
-		// Every gateway opens its own cursor view of the monolithic
-		// recording, so replay order is per-run, not shared across
-		// concurrent cells.
-		store, err := fmgate.OpenReplayStore(cfg.FMReplayPath)
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = store
-		opts.Replay = true
+		Scope:       scope,
+		Store:       cfg.FMStore,
+		Replay:      cfg.FMStore != nil && cfg.FMStoreReplay,
 	}
 	if !opts.Replay {
 		// The cross-process disk tier applies only to paying gateways: a
 		// replaying gateway already has an exact, cheaper source. Decided
 		// here (not inside fmgate) because PoolGateway rewrites the
 		// store/replay wiring when a pool replays through StoreModel.
-		opts.Disk = cfg.FMDiskCache
-	}
-	return fmgate.PoolGateway(model, opts, cfg.FMPool)
-}
-
-// newScopedGateway builds a per-session gateway that participates only in
-// the *sharded* per-cell store. The legacy monolithic FMReplayPath is
-// deliberately ignored: pre-sharding recordings hold selector/generator
-// traffic only, so routing CAAFE sessions through them would turn every
-// CAAFE prompt into a replay miss where the pre-grid harness ran the live
-// simulator.
-func newScopedGateway(model fm.Model, scope string, cfg Config) (*fmgate.Gateway, error) {
-	opts := fmgate.Options{
-		CacheSize:   cfg.FMCacheSize,
-		Concurrency: cfg.FMConcurrency,
-		Scope:       scope,
-		Store:       cfg.FMStore,
-		Replay:      cfg.FMStore != nil && cfg.FMStoreReplay,
-		Role:        "caafe",
-	}
-	if !opts.Replay {
 		opts.Disk = cfg.FMDiskCache
 	}
 	return fmgate.PoolGateway(model, opts, cfg.FMPool)
@@ -246,7 +213,7 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 		// identical prompts on identical frames, so without a scope their
 		// record/replay queues would interleave nondeterministically under
 		// the shared per-cell shard.
-		gw, gwErr := newScopedGateway(fm.NewGPT4Sim(cfg.Seed+7, cfg.FMErrorRate), "caafe/"+ds, cfg)
+		gw, gwErr := newGateway(fm.NewGPT4Sim(cfg.Seed+7, cfg.FMErrorRate), "caafe", "caafe/"+ds, cfg)
 		if gwErr != nil {
 			cells[i] = session{runErr: gwErr}
 			return
@@ -327,29 +294,4 @@ func trainRows(n int, cfg Config) []int {
 	}
 	train, _ := metrics.TrainTestSplit(n, frac, cfg.Seed)
 	return train
-}
-
-// EvalDataset runs the initial evaluation plus every method on one dataset.
-// The five cells (initial + four methods) are independent — every method
-// clones the input frame and builds its own seeded FM simulators — so they
-// fan out on the shared worker pool with results identical to the
-// sequential order (and to per-cell RunCell executions, which reload the
-// same deterministic dataset).
-func EvalDataset(ctx context.Context, name string, cfg Config) (*DatasetEval, error) {
-	d, err := datasets.Load(name, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	clean := d.Frame.DropNA()
-	ev := &DatasetEval{Dataset: name, Methods: make(map[string]MethodResult)}
-	methods := ComparisonMethods()
-	results := make([]MethodResult, len(methods))
-	ForEachIndex(cfg.workers(), len(methods), func(i int) {
-		results[i], _ = runMethodOn(ctx, d, clean, methods[i], cfg)
-	})
-	ev.Initial = results[0]
-	for i, m := range methods[1:] {
-		ev.Methods[m] = results[i+1]
-	}
-	return ev, nil
 }

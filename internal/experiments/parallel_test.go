@@ -36,68 +36,29 @@ func TestForEachIndexCoversAllTasks(t *testing.T) {
 	ForEachIndex(4, 0, func(int) { t.Fatal("no tasks expected") })
 }
 
-// TestParallelHarnessMatchesSequential is the golden-equivalence check for
-// the worker-pool fan-out: the Table 4/5 grids computed with a parallel pool
-// must be identical — every AUC cell, initial value and partial marker — to
-// the fully sequential execution (Workers=1).
-func TestParallelHarnessMatchesSequential(t *testing.T) {
-	names := []string{"Diabetes"}
-	seq := parallelTestConfig()
-	seq.Workers = 1
-	par := parallelTestConfig()
-	par.Workers = 8
-
-	seqAvg, seqMed, err := RunComparison(context.Background(), names, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parAvg, parMed, err := RunComparison(context.Background(), names, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqAvg.Initial, parAvg.Initial) {
-		t.Fatalf("initial avg differs: %v vs %v", seqAvg.Initial, parAvg.Initial)
-	}
-	if !reflect.DeepEqual(seqAvg.Cells, parAvg.Cells) {
-		t.Fatalf("avg cells differ:\nseq: %v\npar: %v", seqAvg.Cells, parAvg.Cells)
-	}
-	if !reflect.DeepEqual(seqMed.Cells, parMed.Cells) {
-		t.Fatalf("median cells differ:\nseq: %v\npar: %v", seqMed.Cells, parMed.Cells)
-	}
-	if !reflect.DeepEqual(seqAvg.Partial, parAvg.Partial) {
-		t.Fatalf("partial markers differ")
-	}
-	// Per-model AUCs must match cell by cell, not just in aggregate.
-	for _, method := range Methods() {
-		s := seqAvg.Evals["Diabetes"].Methods[method]
-		p := parAvg.Evals["Diabetes"].Methods[method]
-		if !reflect.DeepEqual(s.AUCs, p.AUCs) {
-			t.Fatalf("%s per-model AUCs differ: %v vs %v", method, s.AUCs, p.AUCs)
-		}
-	}
-}
-
 // TestEvaluateFrameParallelMatchesSequential pins the per-model pool inside
 // a single frame evaluation.
 func TestEvaluateFrameParallelMatchesSequential(t *testing.T) {
-	ev, err := EvalDataset(context.Background(), "Tennis", func() Config {
-		cfg := parallelTestConfig()
-		cfg.Workers = 1
-		return cfg
-	}())
+	d, err := datasets.Load("Tennis", parallelTestConfig().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evPar, err := EvalDataset(context.Background(), "Tennis", func() Config {
+	clean := d.Frame.DropNA()
+	run := func(workers int) map[string]float64 {
 		cfg := parallelTestConfig()
-		cfg.Workers = 6
-		return cfg
-	}())
-	if err != nil {
-		t.Fatal(err)
+		cfg.Workers = workers
+		aucs, _, err := EvaluateFrame(context.Background(), clean, d.Target, cfg.Models, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aucs
 	}
-	if !reflect.DeepEqual(ev.Initial.AUCs, evPar.Initial.AUCs) {
-		t.Fatalf("initial AUCs differ: %v vs %v", ev.Initial.AUCs, evPar.Initial.AUCs)
+	seq, par := run(1), run(6)
+	if len(seq) != len(parallelTestConfig().Models) {
+		t.Fatalf("sequential evaluation covered %d models: %v", len(seq), seq)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("AUCs differ: %v vs %v", seq, par)
 	}
 }
 
@@ -131,28 +92,5 @@ func TestRunCAAFEParallelMatchesSequential(t *testing.T) {
 	}
 	if (seq.Err == nil) != (par.Err == nil) {
 		t.Fatalf("errors differ: %v vs %v", seq.Err, par.Err)
-	}
-}
-
-// TestRunEfficiencyParallelRowOrder checks that the fanned-out efficiency
-// grid keeps the sequential (dataset, method) row order.
-func TestRunEfficiencyParallelRowOrder(t *testing.T) {
-	cfg := parallelTestConfig()
-	cfg.Workers = 8
-	rows, err := RunEfficiency(context.Background(), []string{"Diabetes"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Methods()
-	if len(rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(want))
-	}
-	for i, r := range rows {
-		if r.Method != want[i] {
-			t.Fatalf("row %d is %s, want %s", i, r.Method, want[i])
-		}
-		if r.Dataset != "Diabetes" {
-			t.Fatalf("row %d dataset = %s", i, r.Dataset)
-		}
 	}
 }

@@ -134,6 +134,12 @@ type DiskCache struct {
 	liveName string
 	closed   bool
 
+	// Registry-backed instruments, allocated apart from the cache so the
+	// registry's hold on them does not pin a closed cache's index.
+	*diskInstruments
+}
+
+type diskInstruments struct {
 	bytesG obs.Gauge   // fmcache_bytes{tier="disk"}
 	scans  obs.Counter // fmcache_disk_scans_total
 }
@@ -156,6 +162,8 @@ func OpenDiskCache(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 		keys:    make(map[string]*diskKey),
 		files:   make(map[string]int64),
 		exclude: make(map[string]bool),
+
+		diskInstruments: new(diskInstruments),
 	}
 	if err := d.ensureManifest(); err != nil {
 		return nil, err

@@ -161,7 +161,11 @@ type Gateway struct {
 	// Registry-backed traffic instruments: each gateway owns its own
 	// counters (so per-instance Metrics snapshots stay exact) and registers
 	// them as contributors to the process-wide obs series for its role.
-	ins gwInstruments
+	// They live in their own allocation: the registry keeps every
+	// contributor for the life of the process, and a pointer into the
+	// Gateway itself would keep the gateway — its model and LRU cache —
+	// reachable with it.
+	ins *gwInstruments
 }
 
 // gwInstruments are the registry-backed counters behind Metrics, plus the
@@ -202,6 +206,7 @@ func New(model fm.Model, opts Options) *Gateway {
 		opts:   opts,
 		sem:    make(chan struct{}, opts.Concurrency),
 		flight: make(map[string]*call),
+		ins:    &gwInstruments{latency: obs.NewHistogram(obs.TimeBuckets...)},
 	}
 	if opts.CacheSize > 0 {
 		g.cache = newShardedCache(opts.CacheSize, &g.ins.fmcacheEvictions, &g.ins.fmcacheMemBytes)
@@ -209,7 +214,6 @@ func New(model fm.Model, opts Options) *Gateway {
 		g.cache = newShardedCache(defaultPromoteCacheSize, &g.ins.fmcacheEvictions, &g.ins.fmcacheMemBytes)
 		g.promoteOnly = true
 	}
-	g.ins.latency = obs.NewHistogram(obs.TimeBuckets...)
 	reg, role := obs.Default, opts.Role
 	reg.RegisterCounter("fm_requests_total", "Completions asked of an fmgate gateway.", &g.ins.requests, "role", role)
 	reg.RegisterCounter("fm_upstream_calls_total", "Completions that reached the wrapped model.", &g.ins.upstreamCalls, "role", role)

@@ -43,16 +43,23 @@ type backend struct {
 	br  *breaker
 	sem chan struct{} // nil when MaxInflight <= 0
 
+	*backendInstruments
+
+	mu     sync.Mutex // guards the token bucket
+	tokens float64
+	last   time.Time
+}
+
+// backendInstruments are a backend's registry-backed counters. Like
+// poolInstruments they are allocated apart from their owner, so the
+// registry's hold on them does not pin the backend's model.
+type backendInstruments struct {
 	inflight  obs.Gauge
 	picks     obs.Counter
 	wins      obs.Counter
 	failures  obs.Counter
 	hedgeWins obs.Counter
 	rateWaits obs.Counter
-
-	mu     sync.Mutex // guards the token bucket
-	tokens float64
-	last   time.Time
 }
 
 // acquire takes an in-flight slot and a rate token, waiting as needed.
@@ -151,12 +158,20 @@ type Pool struct {
 	backends []*backend
 	opts     PoolOptions
 
+	*poolInstruments
+	degraded atomic.Pointer[AllBackendsOpenError]
+}
+
+// poolInstruments are the pool's registry-backed counters. They live in
+// their own allocation: the registry keeps every contributor for the life of
+// the process, and a pointer into the Pool itself would keep the pool and
+// its backends' models reachable with it.
+type poolInstruments struct {
 	calls            obs.Counter
 	hedges           obs.Counter
 	hedgeWins        obs.Counter
 	deadlineExceeded obs.Counter
 	allOpen          obs.Counter
-	degraded         atomic.Pointer[AllBackendsOpenError]
 }
 
 // NewPool builds a pool of backends over a shared content model. model may
@@ -165,7 +180,7 @@ func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error
 	if len(backends) == 0 {
 		return nil, errors.New("fmgate: pool needs at least one backend")
 	}
-	p := &Pool{model: model, opts: opts}
+	p := &Pool{model: model, opts: opts, poolInstruments: new(poolInstruments)}
 	seen := make(map[string]bool)
 	for i, cfg := range backends {
 		if cfg.Name == "" {
@@ -178,7 +193,7 @@ func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error
 		if cfg.Model == nil && model == nil {
 			return nil, fmt.Errorf("fmgate: backend %q has no model and the pool has no shared model", cfg.Name)
 		}
-		b := &backend{Backend: cfg, br: newBreaker(cfg.Breaker)}
+		b := &backend{Backend: cfg, br: newBreaker(cfg.Breaker), backendInstruments: new(backendInstruments)}
 		if cfg.MaxInflight > 0 {
 			b.sem = make(chan struct{}, cfg.MaxInflight)
 		}

@@ -34,49 +34,102 @@ func comparisonTables(t *testing.T, r *RunResult, names []string, cfg experiment
 	return avg, median
 }
 
-// TestGridMatchesDirectComparison pins the tentpole equivalence: the grid
-// engine's per-cell execution + artifact fold produces exactly the tables
-// the in-process harness does.
+// sequentialComparison is the reference the runner is checked against: a
+// plain loop over experiments.RunCell in plan order, folded with the same
+// ComparisonFromCells/EfficiencyFromCells folds the runner's result uses.
+func sequentialComparison(t *testing.T, names []string, cfg experiments.Config) (avg, median *experiments.ComparisonTable, eff []experiments.EfficiencyRow) {
+	t.Helper()
+	results := make(map[[2]string]experiments.MethodResult)
+	for _, name := range names {
+		for _, m := range experiments.ComparisonMethods() {
+			res, err := experiments.RunCell(context.Background(), name, m, cfg)
+			if err != nil {
+				t.Fatalf("%s × %s: %v", name, m, err)
+			}
+			results[[2]string{name, m}] = res
+		}
+	}
+	avg, median = experiments.ComparisonFromCells(names, cfg, func(dataset, method string) (experiments.MethodResult, experiments.CellState) {
+		return results[[2]string{dataset, method}], experiments.CellCompleted
+	})
+	eff = experiments.EfficiencyFromCells(names, func(dataset, method string) (experiments.MethodResult, bool) {
+		res, ok := results[[2]string{dataset, method}]
+		return res, ok
+	})
+	return avg, median, eff
+}
+
+// TestGridMatchesDirectComparison pins the runner against the sequential
+// reference: at any worker count, in memory or with a run directory, the
+// grid folds exactly the tables a direct loop over the cells does, and its
+// efficiency rows keep the sequential (dataset, method) order.
 func TestGridMatchesDirectComparison(t *testing.T) {
 	names := []string{"Diabetes"}
 	cfg := tinyConfig()
+	refAvg, refMed, refEff := sequentialComparison(t, names, cfg)
 
-	direct, directMed, err := experiments.RunComparison(context.Background(), names, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := &Runner{Config: cfg, Dir: t.TempDir()}
-	res, err := r.Run(context.Background(), ComparisonPlan(names, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg, median := comparisonTables(t, res, names, cfg)
-
-	if !reflect.DeepEqual(direct.Cells, avg.Cells) {
-		t.Fatalf("avg cells differ:\ndirect: %v\ngrid:   %v", direct.Cells, avg.Cells)
-	}
-	if !reflect.DeepEqual(direct.Initial, avg.Initial) {
-		t.Fatalf("initial differs: %v vs %v", direct.Initial, avg.Initial)
-	}
-	if !reflect.DeepEqual(direct.Partial, avg.Partial) {
-		t.Fatal("partial markers differ")
-	}
-	if !reflect.DeepEqual(directMed.Cells, median.Cells) {
-		t.Fatalf("median cells differ:\ndirect: %v\ngrid:   %v", directMed.Cells, median.Cells)
-	}
-	if direct.String() != avg.String() {
-		t.Fatalf("rendered tables differ:\n%s\nvs\n%s", direct, avg)
-	}
-	// Efficiency rows fold from the same artifacts, in sequential order.
-	rows := res.Efficiency(names)
-	if len(rows) != len(experiments.Methods()) {
-		t.Fatalf("efficiency rows = %d, want %d", len(rows), len(experiments.Methods()))
-	}
-	for i, m := range experiments.Methods() {
-		if rows[i].Method != m || rows[i].Dataset != "Diabetes" {
-			t.Fatalf("row %d = %s/%s", i, rows[i].Dataset, rows[i].Method)
+	for _, workers := range []int{1, 4} {
+		for _, persist := range []bool{false, true} {
+			cfg := cfg
+			cfg.Workers = workers
+			r := &Runner{Config: cfg}
+			if persist {
+				r.Dir = t.TempDir()
+			}
+			res, err := r.Run(context.Background(), ComparisonPlan(names, nil))
+			if err != nil {
+				t.Fatalf("workers=%d dir=%v: %v", workers, persist, err)
+			}
+			avg, median := comparisonTables(t, res, names, cfg)
+			if !reflect.DeepEqual(refAvg.Cells, avg.Cells) || !reflect.DeepEqual(refMed.Cells, median.Cells) {
+				t.Fatalf("workers=%d dir=%v: cells differ:\nref:  %v\ngrid: %v", workers, persist, refAvg.Cells, avg.Cells)
+			}
+			if !reflect.DeepEqual(refAvg.Initial, avg.Initial) || !reflect.DeepEqual(refAvg.Partial, avg.Partial) {
+				t.Fatalf("workers=%d dir=%v: initial or partial markers differ", workers, persist)
+			}
+			// Per-model AUCs must match cell by cell, not just in aggregate.
+			for _, m := range experiments.Methods() {
+				if a, b := refAvg.Evals["Diabetes"].Methods[m].AUCs, avg.Evals["Diabetes"].Methods[m].AUCs; !reflect.DeepEqual(a, b) {
+					t.Fatalf("workers=%d dir=%v: %s AUCs differ: %v vs %v", workers, persist, m, a, b)
+				}
+			}
+			if refAvg.String() != avg.String() || refMed.String() != median.String() {
+				t.Fatalf("workers=%d dir=%v: rendered tables differ:\n%s\nvs\n%s", workers, persist, refAvg, avg)
+			}
+			// Efficiency rows fold from the same cells, in sequential order;
+			// only their wall-clock component varies between runs.
+			rows := res.Efficiency(names)
+			if len(rows) != len(refEff) {
+				t.Fatalf("efficiency rows = %d, want %d", len(rows), len(refEff))
+			}
+			for i, row := range rows {
+				want := refEff[i]
+				if row.Dataset != want.Dataset || row.Method != want.Method ||
+					row.FMRequests != want.FMRequests || row.FMSaved != want.FMSaved || row.TimedOut != want.TimedOut {
+					t.Fatalf("workers=%d dir=%v: efficiency row %d = %+v, want %+v", workers, persist, i, row, want)
+				}
+			}
 		}
+	}
+}
+
+// TestGridCancelledSkipsEveryCell pins cancellation: an already-cancelled
+// context runs nothing, reports every cell skipped and unwraps to
+// context.Canceled.
+func TestGridCancelledSkipsEveryCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	plan := ComparisonPlan([]string{"Diabetes"}, nil)
+	res, err := (&Runner{Config: tinyConfig()}).Run(ctx, plan)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	var runErr *experiments.RunError
+	if !errors.As(err, &runErr) || len(runErr.Skipped) != len(plan) {
+		t.Fatalf("cancelled run outcome: %v", err)
+	}
+	if c := res.Counts(); c[StatusSkipped] != len(plan) {
+		t.Fatalf("cancelled run counts = %v", c)
 	}
 }
 
@@ -302,8 +355,8 @@ func TestGridFailFastSkippedVsFailed(t *testing.T) {
 }
 
 // TestGridAuxCells pins the auxiliary cell kinds (figure1, descriptions)
-// round-tripping through artifacts and folding identically to the direct
-// entry points.
+// round-tripping through artifacts and folding identically to a direct loop
+// over their cell functions.
 func TestGridAuxCells(t *testing.T) {
 	cfg := tinyConfig()
 	dir := t.TempDir()
@@ -318,9 +371,13 @@ func TestGridAuxCells(t *testing.T) {
 	if !ok || len(points) != 1 {
 		t.Fatalf("figure1 fold: ok=%v n=%d", ok, len(points))
 	}
-	direct, err := experiments.Figure1InteractionCosts(context.Background(), sizes, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var direct []experiments.InteractionCost
+	for _, n := range sizes {
+		point, err := experiments.Figure1Cell(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, point)
 	}
 	// The gateway cost column accumulates across concurrent completions, so
 	// its float sum is order-dependent in the last ulp from run to run (a
@@ -340,10 +397,15 @@ func TestGridAuxCells(t *testing.T) {
 	if !ok {
 		t.Fatal("descriptions fold failed")
 	}
-	directAbl, err := experiments.RunDescriptionsAblation(context.Background(), "Tennis", cfg)
+	full, err := experiments.DescriptionsCell(context.Background(), "Tennis", true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	namesOnly, err := experiments.DescriptionsCell(context.Background(), "Tennis", false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directAbl := experiments.DescriptionsAblationFromCells("Tennis", full, namesOnly)
 	if *abl != *directAbl {
 		t.Fatalf("descriptions differ: %+v vs %+v", abl, directAbl)
 	}

@@ -6,20 +6,30 @@ package jsonio
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // WriteAtomic marshals v (indented, trailing newline) and commits it to path
 // via a temp file + rename, so readers only ever observe the old or the new
-// complete contents.
+// complete contents. Every call writes its own uniquely named temp file in
+// path's directory, so concurrent writers of one path (a stale-lease
+// takeover re-running a cell) never share one: the last rename wins whole.
 func WriteAtomic(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("jsonio: encoding %s: %w", path, err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("jsonio: writing %s: %w", path, err)
+	}
+	tmp := f.Name()
+	_, werr := f.Write(append(b, '\n'))
+	if err := errors.Join(werr, f.Chmod(0o644), f.Close()); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("jsonio: writing %s: %w", path, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -391,14 +391,22 @@ type submitRequest struct {
 	Spec JobSpec `json:"spec"`
 }
 
+// maxSubmitBytes caps a job-submission body; real specs are a few hundred
+// bytes.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.obs.rejectedDraining.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining: not admitting jobs"})
 		return
 	}
+	// A capped body and a strict decoder: a mistyped spec field (say
+	// "metods") must be refused, not silently dropped into a full-grid job.
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}

@@ -401,14 +401,40 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, body.Error, tc.wantErr)
 		}
 	}
-	// Malformed JSON is a 400 too, not a hang or a 500.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON, unknown spec fields and oversized bodies are 400s
+	// too, not a hang, a 500 or a silently widened job.
+	raw := []struct {
+		name, body, wantErr string
+	}{
+		{"malformed", "{", "bad request body"},
+		{"unknown-field", `{"name": "typo", "spec": {"table": 4, "quick": true, "metods": ["SMARTFEAT"]}}`, `unknown field "metods"`},
+		{"oversized", `{"name": "` + strings.Repeat("x", 2<<20) + `", "spec": {"table": 4}}`, "too large"},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body status = %d, want 400", resp.StatusCode)
+	for _, tc := range raw {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding 400 body: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (%s)", tc.name, resp.StatusCode, body.Error)
+		}
+		if !strings.Contains(body.Error, tc.wantErr) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, body.Error, tc.wantErr)
+		}
+	}
+	s.mu.Lock()
+	admitted := len(s.jobs)
+	s.mu.Unlock()
+	if admitted != 0 {
+		t.Fatalf("rejected submissions admitted %d job(s)", admitted)
 	}
 }
 
